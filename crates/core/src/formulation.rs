@@ -29,6 +29,7 @@
 //! speed `σ_u`. Piecewise constructs are softened with a temperature the
 //! augmented-Lagrangian driver anneals to zero.
 
+use crate::chain::{pull, relu, softplus, Chain, Step};
 use crate::quantile::truncated_normal_strata;
 use crate::trace::SpeedBasis;
 use acs_model::TaskSet;
@@ -36,6 +37,7 @@ use acs_opt::problem::{ConstrainedProblem, LinearConstraints, ProblemExprs, Spar
 use acs_opt::tape::{Expr, Graph};
 use acs_power::{FreqModel, Processor};
 use acs_preempt::FullyPreemptiveSchedule;
+use std::cell::RefCell;
 
 /// Objective flavor for schedule synthesis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,12 +78,48 @@ pub struct ScheduleProblem<'a> {
     scenarios: Vec<Scenario>,
     /// Objective normalization (worst-case all-`vmax` energy).
     norm: f64,
-    /// Guard added to time denominators (ms).
-    eps_t: f64,
-    /// Guard added to workload denominators (ms at `f_max`).
-    eps_w: f64,
+    /// The greedy-chain constants, shared by the tape `build` and the
+    /// tape-free kernel.
+    chain: Chain<'a>,
     /// Optional warm-start point overriding the built-in heuristic.
     warm_start: Option<Vec<f64>>,
+    /// Per sub-instance window start (ms).
+    release_ms: Vec<f64>,
+    /// Per sub-instance effective switching capacitance.
+    c_eff: Vec<f64>,
+    /// Fill order of the sub-instances: each instance's chunks, instances
+    /// in task-then-index order.
+    fill_order: Vec<usize>,
+    /// Per instance: its task index and the range of its chunks in
+    /// `fill_order`.
+    fill_instances: Vec<(usize, usize, usize)>,
+    /// Intermediates of [`ConstrainedProblem::objective_grad`], reused
+    /// across evaluations.
+    scratch: RefCell<Scratch>,
+}
+
+/// The forward records one scenario's tape-free evaluation keeps for its
+/// reverse sweep, sized once per problem.
+#[derive(Debug)]
+struct Scratch {
+    steps: Vec<Step>,
+    fill: Vec<FillStep>,
+    exec: Vec<f64>,
+    adj_exec: Vec<f64>,
+    energies: Vec<f64>,
+}
+
+/// Local partials of one [`clamp01`] of the fill rule.
+#[derive(Debug, Clone, Copy, Default)]
+struct FillStep {
+    /// Partial of the `rem` kink (`softplus(rem)` or `relu(rem)`).
+    d_rem: f64,
+    /// Partial of the `hi` kink (`softplus(w)` or `relu(w)`).
+    d_hi: f64,
+    /// Smoothed: partial of `softplus(rem − softplus(w))`.
+    d_q: f64,
+    /// Exact: the `min` took the `rem` branch.
+    take_rem: bool,
 }
 
 impl<'a> ScheduleProblem<'a> {
@@ -158,15 +196,56 @@ impl<'a> ScheduleProblem<'a> {
             })
             .sum::<f64>()
             .max(1e-12);
+        let m = fps.len();
+        let mut fill_order = Vec::with_capacity(m);
+        let mut fill_instances = Vec::new();
+        for (tid, _task) in set.iter() {
+            for inst in 0..fps.instances_of(tid) {
+                let lo = fill_order.len();
+                fill_order.extend(
+                    fps.chunks_of(acs_preempt::InstanceId {
+                        task: tid,
+                        index: inst,
+                    })
+                    .map(|id| id.0),
+                );
+                fill_instances.push((tid.0, lo, fill_order.len()));
+            }
+        }
+        let scratch = RefCell::new(Scratch {
+            steps: vec![Step::default(); m],
+            fill: vec![FillStep::default(); m],
+            exec: vec![0.0; m],
+            adj_exec: vec![0.0; m],
+            energies: vec![0.0; scenarios.len()],
+        });
         ScheduleProblem {
             set,
             cpu,
             fps,
             scenarios,
             norm,
-            eps_t: 1e-6,
-            eps_w: 1e-9,
+            chain: Chain {
+                cpu,
+                fmax: cpu.f_max().as_cycles_per_ms(),
+                eps_t: 1e-6,
+                eps_w: 1e-9,
+                exact_max_start: true,
+            },
             warm_start: None,
+            release_ms: fps
+                .sub_instances()
+                .iter()
+                .map(|sub| sub.window_start.as_ms())
+                .collect(),
+            c_eff: fps
+                .sub_instances()
+                .iter()
+                .map(|sub| set.task(sub.instance.task).c_eff())
+                .collect(),
+            fill_order,
+            fill_instances,
+            scratch,
         }
     }
 
@@ -238,7 +317,7 @@ impl<'a> ScheduleProblem<'a> {
             let s = smax(f_prev, r, tau);
             let a = exec[u].expect("fill visited every sub-instance");
             let gap = e[u] - s;
-            let denom = smax_const(gap, self.eps_t, tau) + self.eps_t;
+            let denom = smax_const(gap, self.chain.eps_t, tau) + self.chain.eps_t;
             let basis_w = match scenario.basis {
                 SpeedBasis::WorstRemaining => w[u],
                 SpeedBasis::AverageWork => a,
@@ -247,8 +326,91 @@ impl<'a> ScheduleProblem<'a> {
             let v = self.voltage_expr(speed, tau);
             let c_eff = self.set.task(sub.instance.task).c_eff();
             energy = energy + c_eff * v.sqr() * (a * fmax);
-            let rho = a / (w[u] + self.eps_w);
+            let rho = a / (w[u] + self.chain.eps_w);
             f_prev = s + rho * (e[u] - s);
+        }
+        energy
+    }
+
+    /// [`ScheduleProblem::scenario_energy`] without the tape: returns the
+    /// scenario's energy and adds its gradient, scaled by `adj_energy`,
+    /// into `ge`/`gw` (the end-time and workload halves). Transcribes the
+    /// tape's node order exactly ([`crate::chain`]).
+    #[allow(clippy::too_many_arguments)]
+    fn scenario_grad(
+        &self,
+        e: &[f64],
+        w: &[f64],
+        scenario: &Scenario,
+        tau: f64,
+        adj_energy: f64,
+        ge: &mut [f64],
+        gw: &mut [f64],
+        scratch: &mut Scratch,
+    ) -> f64 {
+        let Scratch {
+            steps,
+            fill,
+            exec,
+            adj_exec,
+            ..
+        } = scratch;
+        let chain = &self.chain;
+
+        // Fill rule, forward.
+        for &(task, lo, hi) in &self.fill_instances {
+            let total = scenario.totals_ms[task];
+            let mut prefix = 0.0;
+            for &id in &self.fill_order[lo..hi] {
+                exec[id] = clamp01_forward(total - prefix, w[id], tau, &mut fill[id]);
+                prefix += w[id];
+            }
+        }
+
+        // Greedy chain, forward.
+        let mut energy = 0.0;
+        let mut f_prev = 0.0;
+        for u in 0..e.len() {
+            let a = exec[u];
+            let basis = match scenario.basis {
+                SpeedBasis::WorstRemaining => w[u],
+                SpeedBasis::AverageWork => a,
+            };
+            let (term, f) = chain.forward(
+                f_prev,
+                self.release_ms[u],
+                e[u],
+                basis,
+                a,
+                w[u],
+                self.c_eff[u],
+                tau,
+                &mut steps[u],
+            );
+            energy += term;
+            f_prev = f;
+        }
+
+        // Greedy chain, reverse.
+        let mut adj_f = 0.0;
+        for u in (0..e.len()).rev() {
+            let back = chain.reverse(&steps[u], adj_energy, adj_f, &mut ge[u]);
+            adj_f = back.f_prev;
+            gw[u] += back.w;
+            let mut adj_a = back.a_rho + back.a_energy;
+            match scenario.basis {
+                SpeedBasis::WorstRemaining => gw[u] += back.basis,
+                SpeedBasis::AverageWork => adj_a += back.basis,
+            }
+            adj_exec[u] = adj_a;
+        }
+
+        // Fill rule, reverse.
+        for &(_, lo, hi) in self.fill_instances.iter().rev() {
+            let mut adj_prefix = 0.0;
+            for &id in self.fill_order[lo..hi].iter().rev() {
+                adj_prefix = clamp01_reverse(&fill[id], tau, adj_exec[id], adj_prefix, &mut gw[id]);
+            }
         }
         energy
     }
@@ -303,6 +465,50 @@ fn clamp01<'g>(x: Expr<'g>, hi: Expr<'g>, tau: f64) -> Expr<'g> {
     } else {
         x.relu().min_exact(hi.relu())
     }
+}
+
+/// [`clamp01`] in plain `f64`: returns the value and records the partials.
+fn clamp01_forward(x: f64, hi: f64, tau: f64, st: &mut FillStep) -> f64 {
+    if tau > 0.0 {
+        let (hi_pos, d_hi) = softplus(hi, tau);
+        let (p1, d_rem) = softplus(x, tau);
+        let (p2, d_q) = softplus(x - hi_pos, tau);
+        (st.d_hi, st.d_rem, st.d_q) = (d_hi, d_rem, d_q);
+        p1 - p2
+    } else {
+        let (r, d_rem) = relu(x);
+        let (h, d_hi) = relu(hi);
+        (st.d_hi, st.d_rem, st.take_rem) = (d_hi, d_rem, r <= h);
+        if r <= h {
+            r
+        } else {
+            h
+        }
+    }
+}
+
+/// Reverse sweep of one fill chunk `exec = clamp01(total − prefix, w)`,
+/// `prefix' = prefix + w`, given the adjoints of `exec` and `prefix'`.
+/// Adds the workload's contributions to `adj_w`; returns the adjoint of
+/// `prefix`.
+fn clamp01_reverse(st: &FillStep, tau: f64, adj_exec: f64, adj_next: f64, adj_w: &mut f64) -> f64 {
+    let mut adj_prefix = pull(adj_next, 1.0);
+    *adj_w += pull(adj_next, 1.0);
+    let adj_rem = if tau > 0.0 {
+        // exec = softplus(x) − softplus(x − softplus(w))
+        let adj_q = pull(pull(adj_exec, -1.0), st.d_q);
+        let adj_hi = pull(adj_q, -1.0);
+        let adj_rem = pull(adj_q, 1.0) + pull(pull(adj_exec, 1.0), st.d_rem);
+        *adj_w += pull(adj_hi, st.d_hi);
+        adj_rem
+    } else {
+        // exec = min(relu(x), relu(w))
+        let (sel_rem, sel_hi) = if st.take_rem { (1.0, 0.0) } else { (0.0, 1.0) };
+        *adj_w += pull(pull(adj_exec, sel_hi), st.d_hi);
+        pull(pull(adj_exec, sel_rem), st.d_rem)
+    };
+    adj_prefix -= pull(adj_rem, 1.0);
+    adj_prefix
 }
 
 impl ConstrainedProblem for ScheduleProblem<'_> {
@@ -396,13 +602,24 @@ impl ConstrainedProblem for ScheduleProblem<'_> {
         Some(LinearConstraints { ineq, eq })
     }
 
-    fn build_objective<'g>(&self, g: &'g Graph, x: &[Expr<'g>], smoothing: f64) -> Expr<'g> {
+    fn objective_grad(&self, x: &[f64], smoothing: f64, grad: &mut [f64]) -> f64 {
         let m = self.fps.len();
         let (e, w) = x.split_at(m);
-        let mut objective = g.constant(0.0);
-        for scenario in &self.scenarios {
-            let energy = self.scenario_energy(g, e, w, scenario, smoothing);
-            objective = objective + scenario.weight * energy;
+        grad.fill(0.0);
+        let (ge, gw) = grad.split_at_mut(m);
+        let scratch = &mut *self.scratch.borrow_mut();
+        // The tape sums the scenarios forward and sweeps them backward;
+        // each scenario's value is independent of the others, so the
+        // sweep runs scenario by scenario in reverse.
+        let adj_objective = pull(1.0, 1.0 / self.norm);
+        for (j, scenario) in self.scenarios.iter().enumerate().rev() {
+            let adj_energy = pull(adj_objective, scenario.weight);
+            scratch.energies[j] =
+                self.scenario_grad(e, w, scenario, smoothing, adj_energy, ge, gw, scratch);
+        }
+        let mut objective = 0.0;
+        for (scenario, &energy) in self.scenarios.iter().zip(&scratch.energies) {
+            objective += energy * scenario.weight;
         }
         objective / self.norm
     }
@@ -572,6 +789,77 @@ mod tests {
         grads.write_wrt(&xs, &mut analytic);
         let err = max_gradient_error(eval, &x0, &analytic, 1e-7);
         assert!(err < 1e-3, "alpha gradient error {err}");
+    }
+
+    /// The tape-free kernel returns `build().objective`'s value and
+    /// gradient bit for bit: every objective kind, both frequency laws,
+    /// every temperature, at points that cross each kink (end times
+    /// before the start, negative and oversized workloads, finish times
+    /// on either side of a release).
+    #[test]
+    fn kernel_matches_tape_bitwise() {
+        use crate::chain::tests::{assert_matches_tape, Rng, TEMPERATURES};
+        let (set, linear) = fixture();
+        let alpha =
+            Processor::builder(FreqModel::alpha(120.0, Volt::from_volts(0.4), 1.6).unwrap())
+                .vmin(Volt::from_volts(0.5))
+                .vmax(Volt::from_volts(4.0))
+                .build()
+                .unwrap();
+        let fps = FullyPreemptiveSchedule::expand(&set).unwrap();
+        let hyper = set.hyper_period().get() as f64;
+        let mut rng = Rng(2005);
+        for cpu in [&linear, &alpha] {
+            for kind in [
+                ObjectiveKind::AcecTrace,
+                ObjectiveKind::PaperIdealSpeed,
+                ObjectiveKind::WorstCase,
+                ObjectiveKind::Quantiles(3),
+            ] {
+                let p = ScheduleProblem::new(&set, cpu, &fps, kind);
+                let m = p.num_subs();
+                let x0 = p.initial_point();
+                let mut points = vec![x0.clone()];
+                // Every end time before its start: gap ≤ 0 everywhere.
+                points.push(
+                    (0..2 * m)
+                        .map(|i| if i < m { -1.0 } else { x0[i] })
+                        .collect(),
+                );
+                // Negative workloads: speed ≤ 0 and negative fill budgets.
+                points.push(
+                    (0..2 * m)
+                        .map(|i| if i < m { x0[i] } else { -x0[i] })
+                        .collect(),
+                );
+                // The first end time on its release: the next start ties
+                // `max(f_prev, r)` exactly.
+                let mut tie = x0.clone();
+                tie[0] = fps.sub_instances()[0].window_start.as_ms();
+                points.push(tie);
+                for _ in 0..8 {
+                    points.push(x0.iter().map(|&v| v + rng.uniform(-0.1, 0.1)).collect());
+                }
+                for _ in 0..24 {
+                    points.push(
+                        (0..2 * m)
+                            .map(|i| {
+                                if i < m {
+                                    rng.uniform(-0.25, 1.25) * hyper
+                                } else {
+                                    rng.uniform(-0.5, 1.5) * x0[i]
+                                }
+                            })
+                            .collect(),
+                    );
+                }
+                for x in &points {
+                    for tau in TEMPERATURES {
+                        assert_matches_tape(&p, x, tau, &format!("{kind:?} on {cpu:?}"));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -61,6 +61,7 @@
 //! # }
 //! ```
 
+use crate::chain::{pull, Chain, Step};
 use crate::fill::fill_amounts;
 use crate::formulation::{smax_const, voltage_for_speed};
 use crate::schedule::StaticSchedule;
@@ -72,6 +73,7 @@ use acs_opt::problem::{ConstrainedProblem, LinearConstraints, ProblemExprs, Spar
 use acs_opt::tape::{Expr, Graph};
 use acs_power::Processor;
 use acs_preempt::InstanceId;
+use std::cell::RefCell;
 
 /// Observable runtime state of one task instance at a job boundary, as
 /// reported by the simulation engine (`acs-sim` fills one of these per
@@ -429,8 +431,10 @@ struct RemainingProblem<'a> {
     /// materialization is the one `initial_point` hands the solver.
     warm_full: &'a [f64],
     norm: f64,
-    eps_t: f64,
-    eps_w: f64,
+    chain: Chain<'a>,
+    /// Forward records of [`ConstrainedProblem::objective_grad`], one per
+    /// variable, reused across evaluations.
+    steps: RefCell<Vec<Step>>,
 }
 
 impl<'a> RemainingProblem<'a> {
@@ -446,8 +450,14 @@ impl<'a> RemainingProblem<'a> {
             rem,
             warm_full,
             norm,
-            eps_t: 1e-6,
-            eps_w: 1e-9,
+            chain: Chain {
+                cpu: &rem.cpu,
+                fmax: rem.fmax,
+                eps_t: 1e-6,
+                eps_w: 1e-9,
+                exact_max_start: false,
+            },
+            steps: RefCell::new(vec![Step::default(); rem.opt_live.len()]),
         }
     }
 }
@@ -486,11 +496,11 @@ impl ConstrainedProblem for RemainingProblem<'_> {
             let w = rem.rem_w_ms[u];
             let s = smax_const(f_prev, rem.lo_ms[u], smoothing);
             let gap = x[k] - s;
-            let denom = smax_const(gap, self.eps_t, smoothing) + self.eps_t;
+            let denom = smax_const(gap, self.chain.eps_t, smoothing) + self.chain.eps_t;
             let speed = g.constant(w * rem.fmax) / denom;
             let v = voltage_for_speed(&rem.cpu, speed, smoothing);
             energy = energy + rem.c_eff[u] * v.sqr() * (a * rem.fmax);
-            let rho = a / (w + self.eps_w);
+            let rho = a / (w + self.chain.eps_w);
             f_prev = s + rho * (x[k] - s);
         }
 
@@ -531,21 +541,32 @@ impl ConstrainedProblem for RemainingProblem<'_> {
         })
     }
 
-    fn build_objective<'g>(&self, g: &'g Graph, x: &[Expr<'g>], smoothing: f64) -> Expr<'g> {
+    fn objective_grad(&self, x: &[f64], smoothing: f64, grad: &mut [f64]) -> f64 {
         let rem = self.rem;
-        let mut energy = g.constant(0.0);
-        let mut f_prev = g.constant(rem.now_ms);
-        for (k, &u) in rem.opt_live.iter().enumerate() {
-            let a = rem.a_ms[u];
+        let steps = &mut *self.steps.borrow_mut();
+        let mut energy = 0.0;
+        let mut f_prev = rem.now_ms;
+        for ((&u, &e), st) in rem.opt_live.iter().zip(x).zip(steps.iter_mut()) {
             let w = rem.rem_w_ms[u];
-            let s = smax_const(f_prev, rem.lo_ms[u], smoothing);
-            let gap = x[k] - s;
-            let denom = smax_const(gap, self.eps_t, smoothing) + self.eps_t;
-            let speed = g.constant(w * rem.fmax) / denom;
-            let v = voltage_for_speed(&rem.cpu, speed, smoothing);
-            energy = energy + rem.c_eff[u] * v.sqr() * (a * rem.fmax);
-            let rho = a / (w + self.eps_w);
-            f_prev = s + rho * (x[k] - s);
+            let (term, f) = self.chain.forward(
+                f_prev,
+                rem.lo_ms[u],
+                e,
+                w,
+                rem.a_ms[u],
+                w,
+                rem.c_eff[u],
+                smoothing,
+                st,
+            );
+            energy += term;
+            f_prev = f;
+        }
+        grad.fill(0.0);
+        let adj_energy = pull(1.0, 1.0 / self.norm);
+        let mut adj_f = 0.0;
+        for (st, g) in steps.iter().zip(grad.iter_mut()).rev() {
+            adj_f = self.chain.reverse(st, adj_energy, adj_f, g).f_prev;
         }
         energy / self.norm
     }
@@ -1134,6 +1155,80 @@ mod tests {
         )
         .unwrap();
         (set, cpu, schedule)
+    }
+
+    /// The boundary NLP's tape-free kernel returns `build().objective`'s
+    /// value and gradient bit for bit: both frequency laws, every
+    /// temperature, full and horizon-truncated instances, at points that
+    /// cross each kink (end times before the start, finish times on
+    /// either side of a release).
+    #[test]
+    fn kernel_matches_tape_bitwise() {
+        use crate::chain::tests::{assert_matches_tape, Rng, TEMPERATURES};
+        let (set, linear, schedule) = large_with_schedule();
+        let alpha =
+            Processor::builder(FreqModel::alpha(120.0, Volt::from_volts(0.4), 1.6).unwrap())
+                .vmin(Volt::from_volts(0.5))
+                .vmax(Volt::from_volts(4.0))
+                .build()
+                .unwrap();
+        let wcec0 = set.tasks()[0].wcec().as_cycles();
+        let progress = [InstanceProgress {
+            instance: InstanceId {
+                task: TaskId(0),
+                index: 0,
+            },
+            executed: Cycles::from_cycles(0.4 * wcec0),
+            current_chunk: 0,
+            chunk_budget_left: Cycles::from_cycles(0.6 * wcec0),
+            released: true,
+            done: true,
+        }];
+        let mut rng = Rng(7);
+        for cpu in [&linear, &alpha] {
+            for (now, observed, horizon) in [
+                (0.0, &[][..], 0),
+                (2.0, &progress[..], 0),
+                (2.0, &progress[..], 16),
+                (7.5, &[][..], 5),
+            ] {
+                let rem = RemainingInstance::at_boundary(
+                    &schedule,
+                    &set,
+                    cpu,
+                    Time::from_ms(now),
+                    observed,
+                )
+                .with_horizon(horizon);
+                let warm = rem.warm_ends_ms();
+                let p = RemainingProblem::new(&rem, &warm);
+                let x0 = p.initial_point();
+                let last = rem.hi_ms[*rem.opt_live.last().unwrap()];
+                let mut points = vec![x0.clone(), vec![now - 1.0; x0.len()]];
+                // The first end time on its start: the next start ties.
+                let mut tie = x0.clone();
+                tie[0] = rem.lo_ms[rem.opt_live[0]];
+                points.push(tie);
+                let alap = alap_start_ends_ms(&rem);
+                points.push(rem.opt_live.iter().map(|&u| alap[u]).collect());
+                for _ in 0..8 {
+                    points.push(x0.iter().map(|&v| v + rng.uniform(-0.5, 0.5)).collect());
+                }
+                for _ in 0..24 {
+                    points.push(
+                        (0..x0.len())
+                            .map(|_| rng.uniform(now - 2.0, last + 2.0))
+                            .collect(),
+                    );
+                }
+                for x in &points {
+                    for tau in TEMPERATURES {
+                        let what = format!("now {now}, horizon {horizon}, {cpu:?}");
+                        assert_matches_tape(&p, x, tau, &what);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

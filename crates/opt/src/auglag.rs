@@ -15,8 +15,11 @@
 //!
 //! with multiplier updates `λ_j += μ h_j`, `ν_i = max(0, ν_i + μ g_i)`
 //! and a penalty bump whenever feasibility stalls. The inner solver is
-//! [`crate::lbfgs`]; gradients come from the AD tape, so problems only
-//! describe expressions ([`ConstrainedProblem`]).
+//! [`crate::lbfgs`]. Gradients come from the AD tape, so problems only
+//! describe expressions ([`ConstrainedProblem`]); a problem whose
+//! constraints are all linear can instead supply its objective gradient
+//! directly ([`ConstrainedProblem::objective_grad`]), and the solver
+//! then runs without a tape.
 
 use crate::lbfgs::{self, LbfgsConfig, LbfgsStop};
 use crate::problem::{ConstrainedProblem, LinearConstraints};
@@ -107,36 +110,38 @@ pub struct AugLagResult {
     pub lambda: Vec<f64>,
 }
 
-/// Exact (unsmoothed) objective and violation at `x`, evaluated on the
-/// shared (reset + reused) arena; constraint values land in
-/// `ineq`/`eq`. With a linear-constraints description only the
-/// objective touches the tape; constraint values come from the sparse
-/// rows directly.
+/// Exact (unsmoothed) objective and violation at `x`; constraint values
+/// land in `ineq`/`eq`. With a linear-constraints description the
+/// objective comes from [`ConstrainedProblem::objective_grad`] (its
+/// gradient lands in the `grad` scratch, unused) and the constraint
+/// values from the sparse rows; otherwise the problem is built on the
+/// shared (reset + reused) tape.
+#[allow(clippy::too_many_arguments)]
 fn measure<'g>(
     problem: &dyn ConstrainedProblem,
     lc: Option<&LinearConstraints>,
     g: &'g Graph,
     xs: &mut Vec<Expr<'g>>,
     x: &[f64],
+    grad: &mut [f64],
     ineq: &mut Vec<f64>,
     eq: &mut Vec<f64>,
 ) -> (f64, f64) {
-    g.reset();
-    xs.clear();
-    xs.extend(x.iter().map(|&v| g.input(v)));
-    let obj;
     ineq.clear();
     eq.clear();
-    if let Some(lc) = lc {
-        obj = problem.build_objective(g, xs, 0.0).value();
+    let obj = if let Some(lc) = lc {
         ineq.extend((0..lc.ineq.rows()).map(|i| lc.ineq.value(i, x)));
         eq.extend((0..lc.eq.rows()).map(|j| lc.eq.value(j, x)));
+        problem.objective_grad(x, 0.0, grad)
     } else {
+        g.reset();
+        xs.clear();
+        xs.extend(x.iter().map(|&v| g.input(v)));
         let exprs = problem.build(g, xs, 0.0);
-        obj = exprs.objective.value();
         ineq.extend(exprs.inequalities.iter().map(|e| e.value()));
         eq.extend(exprs.equalities.iter().map(|e| e.value()));
-    }
+        exprs.objective.value()
+    };
     let viol = ineq
         .iter()
         .map(|&v| v.max(0.0))
@@ -173,22 +178,29 @@ pub fn solve_seeded(
     let mut x = problem.initial_point();
     assert_eq!(x.len(), n, "initial point dimension mismatch");
 
-    // One AD arena serves every evaluation of this solve: each build
-    // resets the tape and reuses the grown node/value/adjoint buffers, so
-    // warm iterations allocate nothing on the tape side.
-    let g = Graph::with_capacity(n * 16);
-    let mut xs: Vec<Expr<'_>> = Vec::with_capacity(n);
+    // When the problem exposes its (all-linear) constraint system, the
+    // merit function takes the objective and its gradient from
+    // `objective_grad` and folds the PHR penalty terms in analytically:
+    // for P = (max(0, μg+ν)² − ν²)/2μ the chain rule gives
+    // ∂P/∂x = max(0, μg+ν)·∇g, and ∇g is the constant coefficient row.
+    // Same math as the tape path, different floating-point summation
+    // order — iterate trajectories may differ within solver tolerance,
+    // the contract does not.
+    let lc = problem.linear_constraints();
+
+    // Otherwise one AD arena serves every evaluation of this solve: each
+    // build resets the tape and reuses the grown node/value/adjoint
+    // buffers, so warm iterations allocate nothing on the tape side. The
+    // fast path never touches it, so it stays unallocated there.
+    let g = if lc.is_some() {
+        Graph::new()
+    } else {
+        Graph::with_capacity(n * 16)
+    };
+    let mut xs: Vec<Expr<'_>> = Vec::new();
+    let mut measure_grad = vec![0.0f64; n];
     let mut ineq: Vec<f64> = Vec::new();
     let mut eq: Vec<f64> = Vec::new();
-
-    // When the problem exposes its (all-linear) constraint system, the
-    // merit function puts only the objective on the tape and folds the
-    // PHR penalty terms in analytically: for P = (max(0, μg+ν)² − ν²)/2μ
-    // the chain rule gives ∂P/∂x = max(0, μg+ν)·∇g, and ∇g is the
-    // constant coefficient row. Same math as the tape path, different
-    // floating-point summation order — iterate trajectories may differ
-    // within solver tolerance, the contract does not.
-    let lc = problem.linear_constraints();
 
     // Discover constraint counts once.
     let (num_ineq, num_eq) = match &lc {
@@ -216,22 +228,25 @@ pub fn solve_seeded(
     let mut prev_violation = f64::INFINITY;
 
     let mut best_x = x.clone();
-    let (mut best_obj, mut best_viol) =
-        measure(problem, lc.as_ref(), &g, &mut xs, &x, &mut ineq, &mut eq);
+    let (mut best_obj, mut best_viol) = measure(
+        problem,
+        lc.as_ref(),
+        &g,
+        &mut xs,
+        &x,
+        &mut measure_grad,
+        &mut ineq,
+        &mut eq,
+    );
 
     let mut outer_done = 0usize;
     for _outer in 0..config.outer_iters {
         outer_done += 1;
         // ---- inner minimization of the merit function ----
         let merit = |xv: &[f64], grad: &mut [f64]| -> f64 {
-            g.reset();
-            xs.clear();
-            xs.extend(xv.iter().map(|&v| g.input(v)));
             if let Some(lc) = &lc {
-                // Fast path: objective on the tape, linear penalties in f64.
-                let obj = problem.build_objective(&g, &xs, smoothing);
-                g.gradient_wrt(obj, &xs, grad);
-                let mut merit = obj.value();
+                // Fast path: no tape, linear penalties in f64.
+                let mut merit = problem.objective_grad(xv, smoothing, grad);
                 for (j, &lam) in lambda.iter().enumerate().take(lc.eq.rows()) {
                     let h = lc.eq.value(j, xv);
                     merit += lam * h + (mu / 2.0) * h * h;
@@ -246,6 +261,9 @@ pub fn solve_seeded(
                 }
                 return merit;
             }
+            g.reset();
+            xs.clear();
+            xs.extend(xv.iter().map(|&v| g.input(v)));
             let exprs = problem.build(&g, &xs, smoothing);
             let mut merit = exprs.objective;
             for (j, &h) in exprs.equalities.iter().enumerate() {
@@ -265,7 +283,16 @@ pub fn solve_seeded(
         }
 
         // ---- exact measurement and multiplier update ----
-        let (obj, viol) = measure(problem, lc.as_ref(), &g, &mut xs, &x, &mut ineq, &mut eq);
+        let (obj, viol) = measure(
+            problem,
+            lc.as_ref(),
+            &g,
+            &mut xs,
+            &x,
+            &mut measure_grad,
+            &mut ineq,
+            &mut eq,
+        );
         history.push(OuterLog {
             objective: obj,
             violation: viol,
@@ -308,6 +335,7 @@ pub fn solve_seeded(
         &g,
         &mut xs,
         &best_x,
+        &mut measure_grad,
         &mut ineq,
         &mut eq,
     );
@@ -559,10 +587,15 @@ mod tests {
             eq.push_row(&sum, -self.0.total);
             Some(crate::problem::LinearConstraints { ineq, eq })
         }
-        fn build_objective<'g>(&self, g: &'g Graph, x: &[Expr<'g>], _s: f64) -> Expr<'g> {
-            let mut obj = g.constant(0.0);
+        /// `EnergySplit::build`'s objective nodes, transcribed:
+        /// `obj += c / x²` with the tape's partials.
+        fn objective_grad(&self, x: &[f64], _s: f64, grad: &mut [f64]) -> f64 {
+            let mut obj = 0.0;
             for (i, &wi) in self.0.w.iter().enumerate() {
-                obj = obj + g.constant(wi.powi(3)) / x[i].sqr();
+                let c = wi.powi(3);
+                let sq = x[i] * x[i];
+                obj += c / sq;
+                grad[i] = -c / (sq * sq) * (2.0 * x[i]);
             }
             obj
         }
@@ -570,6 +603,25 @@ mod tests {
 
     #[test]
     fn linear_fast_path_matches_tape_path() {
+        // The hand-written hook reproduces the tape route bit for bit.
+        let split = EnergySplit {
+            w: vec![1.0, 2.0, 3.0],
+            total: 12.0,
+        };
+        let linear = EnergySplitLinear(EnergySplit {
+            w: vec![1.0, 2.0, 3.0],
+            total: 12.0,
+        });
+        for x in [[4.0, 4.0, 4.0], [0.3, 7.1, 2.9], [-1.5, 0.05, 11.0]] {
+            let (mut tape_grad, mut fast_grad) = ([0.0; 3], [0.0; 3]);
+            let tape = split.objective_grad(&x, 0.0, &mut tape_grad);
+            let fast = linear.objective_grad(&x, 0.0, &mut fast_grad);
+            assert_eq!(tape.to_bits(), fast.to_bits(), "value at {x:?}");
+            for (t, f) in tape_grad.iter().zip(&fast_grad) {
+                assert_eq!(t.to_bits(), f.to_bits(), "gradient at {x:?}");
+            }
+        }
+
         let tape = solve(
             &EnergySplit {
                 w: vec![1.0, 2.0, 3.0],

@@ -10,11 +10,18 @@
 //!   surrogates ([`tape::Expr::softplus`], [`tape::Expr::smooth_max`],
 //!   [`tape::Expr::smooth_clamp`]) for the piecewise constructs of the
 //!   scheduling formulation, plus exact piecewise ops for final
-//!   evaluation.
+//!   evaluation. Problems describe themselves on it
+//!   ([`problem::ConstrainedProblem::build`]).
 //! * [`linesearch`] / [`lbfgs`] — strong-Wolfe line search and L-BFGS.
 //! * [`auglag`] — a Powell–Hestenes–Rockafellar augmented-Lagrangian
 //!   driver handling equality and inequality constraints, with
-//!   temperature annealing for the smoothed operators.
+//!   temperature annealing for the smoothed operators. It rebuilds the
+//!   tape at every evaluation only when some constraint is non-linear;
+//!   with all-linear constraints
+//!   ([`problem::ConstrainedProblem::linear_constraints`]) it evaluates
+//!   the penalties in plain `f64` and takes the objective gradient from
+//!   [`problem::ConstrainedProblem::objective_grad`], which a problem
+//!   may implement without the tape.
 //! * [`numgrad`] — finite-difference utilities to validate gradients.
 //!
 //! ## Example: constrained minimization

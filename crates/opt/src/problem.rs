@@ -22,7 +22,7 @@ pub struct ProblemExprs<'g> {
 /// are all linear (both NLPs of this workspace): the augmented
 /// Lagrangian evaluates constraint values and penalty gradients
 /// directly from these rows in plain `f64` — the coefficient of a
-/// linear function *is* its gradient — instead of re-recording every
+/// linear function *is* its gradient — instead of recording every
 /// constraint on the AD tape at every merit evaluation.
 #[derive(Debug, Clone, Default)]
 pub struct SparseLinear {
@@ -95,7 +95,7 @@ pub struct LinearConstraints {
 }
 
 /// A smooth constrained minimization problem, expressed by building its
-/// objective and constraints on a fresh AD [`Graph`] at every evaluation.
+/// objective and constraints on an AD [`Graph`].
 ///
 /// `smoothing` is a temperature for piecewise operations (`max`, `clamp`):
 /// implementations should use smooth surrogates
@@ -116,22 +116,29 @@ pub trait ConstrainedProblem {
     /// The constraint system as sparse linear rows, when *every*
     /// constraint is linear in `x`. Solvers that see `Some` evaluate
     /// constraints and penalty gradients in plain `f64` from these rows
-    /// and build only the objective on the tape
-    /// ([`ConstrainedProblem::build_objective`]) — the same math with a
-    /// fraction of the tape nodes. Implementations must keep row order
-    /// identical to the expression order of
-    /// [`ConstrainedProblem::build`].
+    /// and the objective through
+    /// [`ConstrainedProblem::objective_grad`], never touching the tape.
+    /// Implementations must keep row order identical to the expression
+    /// order of [`ConstrainedProblem::build`].
     fn linear_constraints(&self) -> Option<LinearConstraints> {
         None
     }
 
-    /// Objective-only build, used together with
-    /// [`ConstrainedProblem::linear_constraints`]. The default delegates
-    /// to [`ConstrainedProblem::build`] (correct but wastes the
-    /// constraint nodes); implementations providing linear constraints
-    /// should override it to skip constraint construction entirely.
-    fn build_objective<'g>(&self, g: &'g Graph, x: &[Expr<'g>], smoothing: f64) -> Expr<'g> {
-        self.build(g, x, smoothing).objective
+    /// The objective at `x`, with its gradient written into `grad`
+    /// (`grad.len() == x.len()`); used together with
+    /// [`ConstrainedProblem::linear_constraints`].
+    ///
+    /// The default builds the problem on a fresh tape and sweeps the
+    /// objective — correct, but it allocates and records the constraint
+    /// nodes too. Problems on a hot path override it with a hand-written
+    /// forward + reverse pass; `build` stays the specification, and an
+    /// override should return the same value and gradient bit for bit.
+    fn objective_grad(&self, x: &[f64], smoothing: f64, grad: &mut [f64]) -> f64 {
+        let g = Graph::new();
+        let xs: Vec<Expr<'_>> = x.iter().map(|&v| g.input(v)).collect();
+        let objective = self.build(&g, &xs, smoothing).objective;
+        g.gradient_wrt(objective, &xs, grad);
+        objective.value()
     }
 }
 

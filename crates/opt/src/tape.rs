@@ -1,11 +1,18 @@
 //! Tape-based reverse-mode automatic differentiation.
 //!
-//! The optimizer re-builds a fresh expression graph at every merit-function
-//! evaluation (values are eager, the tape only records local partial
-//! derivatives), then a single reverse sweep yields the gradient with
-//! respect to every input at `O(#nodes)` cost. This is the textbook
-//! "tape" design: flat arena, two-parent nodes, no graph reuse, no
-//! allocation inside the hot loop beyond the arena `Vec`s.
+//! A problem builds its expression graph at a point (values are eager,
+//! the tape only records local partial derivatives), then a single
+//! reverse sweep yields the gradient with respect to every input at
+//! `O(#nodes)` cost. This is the textbook "tape" design: flat arena,
+//! two-parent nodes, no graph reuse, no allocation beyond the arena
+//! `Vec`s, which [`Graph::reset`] keeps for the next build.
+//!
+//! The augmented-Lagrangian driver rebuilds the graph at every merit
+//! evaluation only for problems with non-linear constraints. Problems
+//! whose constraints are all linear evaluate through
+//! [`ConstrainedProblem::objective_grad`](crate::problem::ConstrainedProblem::objective_grad)
+//! instead; there the tape `build` is the specification a hand-written
+//! objective gradient is checked against.
 //!
 //! ```
 //! use acs_opt::tape::Graph;

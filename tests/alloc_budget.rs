@@ -9,16 +9,14 @@
 //! pinned contract: any new `Vec::new`/`clone`/`format!` on the hot
 //! path fails this suite before it can regress the benchmarks.
 //!
-//! **Single-threaded by design.** The counter is process-global, so
-//! these tests serialize on a shared mutex, and CI runs the binary with
-//! `--test-threads=1` (the `alloc-budget` job in
-//! `.github/workflows/ci.yml`). The
-//! count is exact under that regime; a parallel run could only inflate
-//! it (another thread's allocations), never hide a regression.
+//! **Exact under the parallel harness.** Only allocations made by the
+//! measuring thread count: the switch and the counter are thread-locals,
+//! so libtest's own threads and the other tests of this binary, which
+//! run at the same time, never reach the count. The engine runs on the
+//! measuring thread, so the zero budget stays exact.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use acs_core::{synthesize_wcs, SynthesisOptions};
 use acs_model::units::{Cycles, Freq, Ticks, Volt};
@@ -27,34 +25,42 @@ use acs_power::{FreqModel, Processor};
 use acs_sim::policy::{DispatchContext, Policy, SolverContext};
 use acs_sim::{NoDvs, SimOptions, Simulator, StaticSpeed};
 
-/// System allocator with a switchable allocation counter. Deallocations
-/// are not counted: freeing retired buffers is fine, *acquiring* new
-/// ones in steady state is the regression.
+/// System allocator with a switchable, per-thread allocation counter.
+/// Deallocations are not counted: freeing retired buffers is fine,
+/// *acquiring* new ones in steady state is the regression.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ENABLED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    // `const`-initialised and without a destructor, so reading them
+    // never allocates (which would recurse into the allocator);
+    // `try_with` covers a thread that is already tearing them down.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn note_alloc() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counting touches only
+// the thread-locals above, which neither allocate nor unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow is a new acquisition in disguise.
-        if ENABLED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -66,17 +72,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Serializes the tests of this binary: the counter is process-global.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with counting enabled and returns the exact number of
-/// allocation acquisitions (alloc/alloc_zeroed/realloc) it performed.
+/// Runs `f` with counting enabled on this thread and returns the exact
+/// number of allocation acquisitions (alloc/alloc_zeroed/realloc) it
+/// performed here.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    ENABLED.store(true, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
     let r = f();
-    ENABLED.store(false, Ordering::SeqCst);
-    (ALLOCS.load(Ordering::SeqCst), r)
+    COUNTING.with(|on| on.set(false));
+    (ALLOCS.with(Cell::get), r)
 }
 
 fn set() -> TaskSet {
@@ -119,7 +123,6 @@ fn draw(task: TaskId, instance: u64) -> Cycles {
 
 #[test]
 fn steady_state_run_allocates_nothing_without_schedule() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let set = set();
     let cpu = cpu();
     let hyper = set.hyper_period().get() as f64;
@@ -146,7 +149,6 @@ fn steady_state_run_allocates_nothing_without_schedule() {
 
 #[test]
 fn steady_state_run_allocates_nothing_with_schedule() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let set = set();
     let cpu = cpu();
     let schedule = synthesize_wcs(&set, &cpu, &SynthesisOptions::quick()).unwrap();
@@ -196,7 +198,6 @@ impl Policy for BoundaryProbe {
 
 #[test]
 fn boundary_snapshots_stay_within_zero_alloc_budget() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let set = set();
     let cpu = cpu();
     let hyper = set.hyper_period().get() as f64;
