@@ -1,5 +1,13 @@
 //! Criterion bench P2: one ACS objective + gradient evaluation (the
 //! solver's inner-loop unit of work).
+//!
+//! * `<set>/tau_<t>` — `ConstrainedProblem::objective_grad`, the fused
+//!   kernel the solver calls, at the start and the end of the anneal
+//!   (`1e-3` and `1e-7` ms; the lower the temperature, the more
+//!   softplus kinks saturate and skip `exp`/`ln_1p`).
+//! * `<set>/tape_reference` — the same evaluation through the AD tape
+//!   (`build` + reverse sweep) at `1e-3`: the specification the kernel
+//!   is pinned to bit for bit, kept for comparison.
 
 use acs_core::{ObjectiveKind, ScheduleProblem};
 use acs_model::units::Freq;
@@ -26,7 +34,16 @@ fn bench_gradient(c: &mut Criterion) {
         let fps = FullyPreemptiveSchedule::expand(&set).unwrap();
         let problem = ScheduleProblem::new(&set, &cpu, &fps, ObjectiveKind::AcecTrace);
         let x0 = problem.initial_point();
-        g.bench_function(name, |b| {
+        let mut grad = vec![0.0; x0.len()];
+        for (label, tau) in [("tau_1e-3", 1e-3), ("tau_1e-7", 1e-7)] {
+            g.bench_function(&format!("{name}/{label}"), |b| {
+                b.iter(|| {
+                    let value = problem.objective_grad(black_box(&x0), tau, &mut grad);
+                    black_box((value, grad[0]))
+                })
+            });
+        }
+        g.bench_function(&format!("{name}/tape_reference"), |b| {
             b.iter(|| {
                 let graph = Graph::with_capacity(x0.len() * 16);
                 let xs: Vec<_> = x0.iter().map(|&v| graph.input(v)).collect();

@@ -42,12 +42,27 @@ pub(crate) fn pull(adj: f64, partial: f64) -> f64 {
     }
 }
 
+/// The `|x|` beyond which `(-|x|).exp()` is exactly `+0.0`.
+const SATURATED: f64 = 746.0;
+
 /// `Expr::softplus` — value and derivative — with one shared exponential:
 /// the tape's `(-x).exp()` (for `x ≥ 0`) and `x.exp()` (for `x < 0`) both
 /// take the argument `-|x|`.
+///
+/// Past `|x| = 746` the exponential is exactly `+0.0`: `e^-746 ≈
+/// 2^-1076.3` lies below half the smallest subnormal (`2^-1075`), so it
+/// rounds to zero. Then `ln_1p(0) = 0`, `1/(1 + 0) = 1` and
+/// `0/(1 + 0) = 0`, and the early return yields the full path's bits
+/// without calling `exp` or `ln_1p`. NaN fails the comparison and takes
+/// the full path. `exp_saturates_to_positive_zero` pins the assumption
+/// on the platform's libm.
 #[inline]
 pub(crate) fn softplus(v: f64, tau: f64) -> (f64, f64) {
     let x = v / tau;
+    if x.abs() > SATURATED {
+        let d = if x >= 0.0 { 1.0 } else { 0.0 };
+        return (tau * (x.max(0.0) + 0.0), d);
+    }
     let z = (-x.abs()).exp();
     let val = tau * (x.max(0.0) + z.ln_1p());
     let d = if x >= 0.0 {
@@ -315,12 +330,27 @@ pub(crate) mod tests {
                 -1e-300,
                 700.0 * tau,
                 -745.0 * tau,
+                745.9 * tau,
+                -745.9 * tau,
+                746.0 * tau,
+                -746.0 * tau,
+                746.1 * tau,
+                -746.1 * tau,
                 1e9,
                 -1e9,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
             ]
             .into_iter()
-            .chain((0..200).map(|_| rng.uniform(-50.0, 50.0) * tau))
-            {
+            .chain((0..240).map(|i| {
+                // 200 around the kink, then 20 each side of the
+                // saturation threshold.
+                tau * match i {
+                    0..200 => rng.uniform(-50.0, 50.0),
+                    200..220 => rng.uniform(740.0, 760.0),
+                    _ => rng.uniform(-760.0, -740.0),
+                }
+            })) {
                 let x = g.input(v);
                 let y = x.softplus(tau);
                 let (mut d, (val, dv)) = ([0.0], super::softplus(v, tau));
@@ -328,6 +358,21 @@ pub(crate) mod tests {
                 assert_eq!(val.to_bits(), y.value().to_bits(), "softplus({v}, {tau})");
                 assert_eq!(dv.to_bits(), d[0].to_bits(), "softplus'({v}, {tau})");
             }
+        }
+    }
+
+    /// The saturation shortcut in [`super::softplus`] is exact only if
+    /// `exp` returns `+0.0` for every argument below `-746`. A libm that
+    /// rounds differently fails here rather than drifting from the tape.
+    #[test]
+    fn exp_saturates_to_positive_zero() {
+        let mut rng = Rng(11);
+        let sweep = (0..=1000).map(|i| super::SATURATED + f64::from(i) * 0.01);
+        for x in sweep
+            .chain((0..1000).map(|_| rng.uniform(super::SATURATED, 1e4)))
+            .chain([1e4, 1e300, f64::INFINITY])
+        {
+            assert_eq!((-x).exp().to_bits(), 0.0f64.to_bits(), "exp(-{x})");
         }
     }
 }

@@ -60,7 +60,7 @@ use acs_core::reopt::{
 use acs_core::StaticSchedule;
 use acs_model::units::Freq;
 use acs_model::TaskSet;
-use acs_power::Processor;
+use acs_power::{FreqModel, Processor};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -618,6 +618,24 @@ fn fingerprint(
     al.smoothing_decay.to_bits().hash(&mut h);
     al.inner.grad_tol.to_bits().hash(&mut h);
     al.inner.f_tol_rel.to_bits().hash(&mut h);
+    let ls = &al.inner.line_search;
+    ls.c1.to_bits().hash(&mut h);
+    ls.c2.to_bits().hash(&mut h);
+    ls.alpha_init.to_bits().hash(&mut h);
+    ls.alpha_max.to_bits().hash(&mut h);
+    ls.max_evals.hash(&mut h);
+    match *cpu.freq_model() {
+        FreqModel::Linear { kappa } => {
+            0u8.hash(&mut h);
+            kappa.to_bits().hash(&mut h);
+        }
+        FreqModel::Alpha { k, vth, alpha } => {
+            1u8.hash(&mut h);
+            k.to_bits().hash(&mut h);
+            vth.as_volts().to_bits().hash(&mut h);
+            alpha.to_bits().hash(&mut h);
+        }
+    }
     cpu.f_max().as_cycles_per_ms().to_bits().hash(&mut h);
     cpu.f_min().as_cycles_per_ms().to_bits().hash(&mut h);
     cpu.vmin().as_volts().to_bits().hash(&mut h);
@@ -637,7 +655,6 @@ mod tests {
     use acs_core::{synthesize_acs_warm, synthesize_wcs, SynthesisOptions};
     use acs_model::units::{Cycles, Ticks, Volt};
     use acs_model::{Task, TaskId, TaskSet};
-    use acs_power::FreqModel;
 
     fn empty_carry() -> WarmCarry {
         WarmCarry {
@@ -773,6 +790,27 @@ mod tests {
         assert_eq!(stats.hits, cached.solver_cache_hits as u64);
         assert_eq!(stats.entries, cache.len());
         assert!(stats.hit_rate() > 0.0);
+    }
+
+    #[test]
+    fn line_search_config_separates_shared_cache_entries() {
+        let (set, cpu) = motivation();
+        let wcs = synthesize_wcs(&set, &cpu, &SynthesisOptions::quick()).unwrap();
+        let totals = acs_core::trace::acec_totals(&set);
+        let go = |p: ReOpt| run(&set, &cpu, &wcs, p, &totals, 1);
+        let mut cfg = ReOptConfig::default();
+        cfg.solver.auglag.inner.line_search.c2 = 0.5;
+        let tuned = |cache| ReOpt::with_config(cfg.clone()).with_cache(cache);
+        let alone = go(tuned(Arc::new(SolverCache::new(256))));
+        let shared = Arc::new(SolverCache::new(256));
+        go(ReOpt::new().with_cache(shared.clone()));
+        // Same configuration: the first run's entries answer the second.
+        let same = go(ReOpt::new().with_cache(shared.clone()));
+        assert!(same.solver_cache_hits > alone.solver_cache_hits, "{same:?}");
+        // Only `c2` differs: none of the default runs' entries may hit.
+        let other = go(tuned(shared));
+        assert_eq!(other.solver_cache_hits, alone.solver_cache_hits);
+        assert_eq!(other.energy, alone.energy);
     }
 
     #[test]
